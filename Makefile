@@ -34,19 +34,18 @@ vet:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# The batched pipeline must be bit-equivalent to the per-instruction
-# reference, the decoupled stage pipeline bit-equivalent to the fused
-# loop at every stage-buffer size, and the core-sharded schedule
-# bit-equivalent at every shard count, queue depth, and GOMAXPROCS; run
+# The batched path must be bit-equivalent to the per-instruction
+# reference, and the core-sharded schedule bit-equivalent to the fused
+# loop at every shard count, batch size, queue depth, and GOMAXPROCS; run
 # those guards on their own so a failure names them directly, then once
-# more under the race detector so the concurrent schedules (stage rings
-# and the shard merge) are exercised for data races too.
+# more under the race detector so the concurrent schedule (shard workers,
+# merge and accountants, and their teardown) is exercised for data races
+# too.
 equiv:
 	$(GO) test -run 'TestDetailStreamEquivalence' ./internal/sim/
-	$(GO) test -run 'TestPipeline' ./internal/power4/
 	$(GO) test -run 'TestSharded' ./internal/power4/
 	$(GO) test -run 'TestEngineSharded' ./internal/sim/
-	$(GO) test -race -run 'TestPipelineEquivalence|TestShardedEquivalence|TestEnginePipelined|TestEngineSharded' ./internal/power4/ ./internal/sim/
+	$(GO) test -race -run 'TestShardedEquivalence|TestEngineSharded|TestStreamMuxShardedParity|TestEngineShardTeardown|TestDetailStreamEquivalence' ./internal/power4/ ./internal/sim/ ./internal/hpm/
 
 # The workload-pack calibration gate: every registered scenario pack
 # (jas2004, dataanalytics, virtweb) re-derives its quick-scale headline
@@ -58,23 +57,27 @@ equiv:
 calibrate:
 	$(GO) run ./cmd/calibrate -check -workload all
 
-# The floor checks (JAS_BENCH_FLOOR=1) fail if the pipelined or the
-# sharded-auto detail stream is slower than the fused loop: neither
-# schedule may ever be a pessimization on the CI host.
+# The floor check (JAS_BENCH_FLOOR=1) fails if the sharded-auto detail
+# stream is slower than the fused loop: the production schedule may never
+# be a pessimization on the CI host.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig2|BenchmarkDetailStream|BenchmarkBuildReport' -benchtime 1x .
-	JAS_BENCH_FLOOR=1 $(GO) test -run 'TestPipelinedFloor|TestShardedFloor' -count 1 .
+	JAS_BENCH_FLOOR=1 $(GO) test -run 'TestShardedFloor' -count 1 .
 
 # Measured numbers for the README perf table: the stream benchmarks get
 # 5 runs of 6 iterations (min-of-5 rides out shared-host noise), the
 # full-report benchmark is too slow for that and gets 3 single-shot runs,
 # and the jasd server path (submit + dedup + cached-report serve, client
 # parallelism 1/4/8) gets 3 runs of 300 round trips. BENCH_OUT names the
-# artifact; BENCH_BASELINE (a previous artifact) adds per-benchmark
-# min-vs-min speedup deltas to it.
-BENCH_OUT ?= BENCH_PR10.json
-BENCH_BASELINE ?= BENCH_PR8.json
+# new artifact and is required, so a bare run cannot overwrite a committed
+# trajectory point; BENCH_BASELINE (a previous artifact, by default the
+# latest committed one) adds per-benchmark min-vs-min speedup deltas to it.
+BENCH_BASELINE ?= BENCH_PR10.json
 bench-json:
+	@if [ -z "$(BENCH_OUT)" ]; then \
+	  echo "usage: make bench-json BENCH_OUT=<new artifact>.json [BENCH_BASELINE=$(BENCH_BASELINE)]" >&2; \
+	  exit 2; \
+	fi
 	{ $(GO) test -run '^$$' -bench 'BenchmarkDetailStream' -benchmem -benchtime 6x -count 5 . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkLoadgenWindow' -benchmem -benchtime 1000x -count 5 . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkBuildReport' -benchmem -benchtime 1x -count 3 . && \

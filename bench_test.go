@@ -327,42 +327,27 @@ func benchStreamCore(b testing.TB) *sim.SUT {
 	return sut
 }
 
-// benchPipeline streams the recorded jas2004 trace through a detail
-// pipeline in the given configuration, with a Drain per iteration
-// modelling the engine's once-per-window barrier.
-func benchPipeline(b *testing.B, cfg power4.PipelineConfig) {
-	b.Helper()
-	benchPipelineTrace(b, benchDetailTrace(b), cfg)
-}
-
-// benchPipelineTrace is benchPipeline over an explicit trace, so packs
-// other than jas2004 can reuse the same consumption harness.
-func benchPipelineTrace(b *testing.B, trace []isa.Instr, cfg power4.PipelineConfig) {
+// benchFusedTrace replays a recorded single-core trace through the fused
+// loop (batches into Core.ConsumeBatch, fast paths enabled), so every
+// pack's stream is measured by the same consumption harness.
+func benchFusedTrace(b *testing.B, trace []isa.Instr) {
 	b.Helper()
 	sut := benchStreamCore(b)
-	pipe, err := power4.NewPipeline(sut.Cores, sut.Hier, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer pipe.Close()
-	sink := pipe.Sink(0)
+	c := sut.Cores[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		isa.Replay(trace, sink, isa.DefaultBatchCap)
-		pipe.Drain()
+		isa.Replay(trace, c, isa.DefaultBatchCap)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(trace))*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
 }
 
-// BenchmarkDetailStream measures the production detail-mode hot path:
-// the recorded stream delivered through the decoupled pipeline with the
-// stage schedule auto-selected for the host — concurrent stage
-// goroutines when CPUs are available to overlap them, collapsed onto the
-// fused loop on single-CPU hosts (where any decoupling is pure
-// overhead). Fast paths enabled, as in production.
+// BenchmarkDetailStream measures the single-core detail-mode hot path:
+// the recorded stream delivered in batches through the fused loop with
+// fast paths enabled, as in production. The multi-core sharded schedule
+// is measured separately by BenchmarkDetailStreamSharded.
 func BenchmarkDetailStream(b *testing.B) {
-	benchPipeline(b, power4.PipelineConfig{})
+	benchFusedTrace(b, benchDetailTrace(b))
 }
 
 // benchTraceDA caches the dataanalytics-pack stream the same way
@@ -406,44 +391,12 @@ func benchDetailTraceDA(b testing.TB) []isa.Instr {
 }
 
 // BenchmarkDetailStreamDataAnalytics is BenchmarkDetailStream over the
-// dataanalytics pack's stream: same production pipeline, different
+// dataanalytics pack's stream: same fused replay, different
 // instruction mix (scan-dominated data references, higher allocation
 // rate), so the two legs together show how stream consumption cost
 // tracks workload character rather than a single pinned trace.
 func BenchmarkDetailStreamDataAnalytics(b *testing.B) {
-	benchPipelineTrace(b, benchDetailTraceDA(b), power4.PipelineConfig{})
-}
-
-// BenchmarkDetailStreamRings forces the concurrent three-stage schedule
-// regardless of host parallelism: the cost (or benefit) of ring handoffs
-// is DetailStreamRings vs DetailStreamFused.
-func BenchmarkDetailStreamRings(b *testing.B) {
-	benchPipeline(b, power4.PipelineConfig{Depth: power4.DefaultPipelineDepth})
-}
-
-// BenchmarkDetailStreamInline forces the decoupled stages to run
-// synchronously with no rings: DetailStreamInline vs DetailStreamFused
-// isolates the cost of stage decoupling itself (annotation traffic,
-// repeated decode) from the cost of the handoffs.
-func BenchmarkDetailStreamInline(b *testing.B) {
-	benchPipeline(b, power4.PipelineConfig{Inline: true})
-}
-
-// BenchmarkDetailStreamFused measures the single-threaded fused loop the
-// pipeline decouples — the SetPipelined(false) path: batches through
-// Core.ConsumeBatch, fast paths enabled. DetailStream/DetailStreamFused
-// is the pipelining speedup; the bench-smoke floor check requires it to
-// stay >= 1.
-func BenchmarkDetailStreamFused(b *testing.B) {
-	trace := benchDetailTrace(b)
-	sut := benchStreamCore(b)
-	c := sut.Cores[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		isa.Replay(trace, c, isa.DefaultBatchCap)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(len(trace))*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
+	benchFusedTrace(b, benchDetailTraceDA(b))
 }
 
 // BenchmarkDetailStreamReference measures the pre-batching path the
@@ -733,9 +686,9 @@ func benchDetailTraceRamp(b testing.TB) []isa.Instr {
 }
 
 // BenchmarkDetailStreamRamp is BenchmarkDetailStream over the ramp-shaped
-// stream: same production pipeline, but the request density varies 4x
+// stream: same fused replay, but the request density varies 4x
 // across the trace, so stream-consumption cost is measured under the
 // load shapes the generator produces rather than only uniform cadence.
 func BenchmarkDetailStreamRamp(b *testing.B) {
-	benchPipelineTrace(b, benchDetailTraceRamp(b), power4.PipelineConfig{})
+	benchFusedTrace(b, benchDetailTraceRamp(b))
 }

@@ -65,7 +65,6 @@ func main() {
 	retryAfter := flag.Duration("retry-after", 5*time.Second, "Retry-After hint on queue-full rejections")
 	drain := flag.Duration("drain", 60*time.Second, "graceful-shutdown deadline for in-flight runs")
 	parallel := flag.Int("parallel", 0, "max concurrent simulations per job (0 = one per CPU)")
-	pipelined := flag.Bool("pipelined", true, "run detail streams through the decoupled stage pipeline (results are bit-identical either way)")
 	sharded := flag.Bool("sharded", true, "shard detail streams across per-simulated-core goroutines (bit-identical; auto-collapses to the fused loop on 1-CPU hosts)")
 	addrfile := flag.String("addrfile", "", "write the resolved listen address to this file")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-run execution deadline (0 = none; timeout_s overrides per job)")
@@ -86,7 +85,6 @@ func main() {
 	if *parallel > 0 {
 		core.SetParallelism(*parallel)
 	}
-	core.SetPipelined(*pipelined)
 	core.SetSharded(*sharded)
 	if *storeDir != "" {
 		st, err := core.OpenStore(*storeDir)

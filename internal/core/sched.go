@@ -38,41 +38,21 @@ func SetParallelism(n int) int {
 	return prev
 }
 
-// pipelined gates the decoupled detail pipeline inside each simulation.
-// It is a package knob rather than a RunConfig field on purpose: the
-// pipeline is bit-identical to the fused loop, so it must not perturb
-// canonical artifact keys (jasd job IDs hash the RunConfig). It composes
-// with SetParallelism — that knob bounds simulations run concurrently,
-// this one decides how each simulation's detail stream executes
-// internally.
-var pipelined = true
-
-// Pipelined reports whether detail-mode runs use the decoupled pipeline.
-func Pipelined() bool {
-	parMu.Lock()
-	defer parMu.Unlock()
-	return pipelined
-}
-
-// SetPipelined enables or disables the decoupled detail pipeline for
-// subsequent runs and returns the previous setting. Counters and reports
-// are bit-identical either way; false restores the fused loop's
-// pre-change cost for reference measurements.
-func SetPipelined(enabled bool) bool {
-	parMu.Lock()
-	defer parMu.Unlock()
-	prev := pipelined
-	pipelined = enabled
-	return prev
-}
+// Pipelined always reports false: the stage pipeline was removed because
+// it never beat the fused loop.
+//
+// Deprecated: Sharded is the only detail schedule choice.
+func Pipelined() bool { return false }
 
 // sharded selects the core-sharded detail schedule: one goroutine per
-// simulated core with a deterministic coherence merge. Like pipelined it
-// is a package knob, not a RunConfig field — the shard merge is
+// simulated core with a deterministic coherence merge. It is a package
+// knob rather than a RunConfig field on purpose: the shard merge is
 // bit-identical to the fused loop, so it must not perturb canonical
-// artifact keys or jasd job IDs. When both knobs are on, sharding wins
-// (it subsumes the stage overlap); its auto mode collapses to the fused
-// loop on 1-CPU hosts, so leaving it enabled is never a pessimization.
+// artifact keys (jasd job IDs hash the RunConfig). It composes with
+// SetParallelism — that knob bounds simulations run concurrently, this
+// one decides how each simulation's detail stream executes internally.
+// The auto mode collapses to the fused loop on 1-CPU hosts, so leaving it
+// enabled is never a pessimization.
 var sharded = true
 
 // Sharded reports whether detail-mode runs use the core-sharded group.
@@ -84,8 +64,8 @@ func Sharded() bool {
 
 // SetSharded enables or disables the core-sharded detail schedule for
 // subsequent runs and returns the previous setting. Counters and reports
-// are bit-identical either way; false falls back to the pipelined or
-// fused schedule for reference measurements.
+// are bit-identical either way; false falls back to the fused loop for
+// reference measurements.
 func SetSharded(enabled bool) bool {
 	parMu.Lock()
 	defer parMu.Unlock()

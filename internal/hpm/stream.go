@@ -21,14 +21,14 @@ import (
 // after the timer fires, and keeps the batch path free of per-
 // instruction window checks.
 //
-// When the model underneath the stream is the decoupled detail pipeline
-// (power4.Pipeline), rotations that sample live counters must land at
-// drain barriers: the pipeline publishes counters to the cores only at
-// Pipeline.Drain. The engine already ticks its monitors once per window
-// right after the barrier, and a raw StreamMux composed with a pipelined
+// When the model underneath the stream is the core-sharded detail group
+// (power4.ShardGroup), rotations that sample live counters must land at
+// drain barriers: the group publishes counters to the cores only at
+// ShardGroup.Drain. The engine already ticks its monitors once per window
+// right after the barrier, and a raw StreamMux composed with a sharded
 // sink must follow the same order — model batch, Drain, then advance the
-// mux. TestStreamMuxPipelinedParity pins that composition: samples are
-// byte-identical to the fused loop's at every stage-buffer size.
+// mux. TestStreamMuxShardedParity pins that composition: samples are
+// byte-identical to the fused loop's at every batch size and queue depth.
 type StreamMux struct {
 	mux         *Multiplexer
 	windowInstr uint64

@@ -68,13 +68,13 @@ type coreSource struct{ c *power4.Core }
 
 func (s coreSource) Counters() power4.Counters { return s.c.Counters() }
 
-// TestStreamMuxPipelinedParity: a StreamMux multiplexing HPM groups over
-// the decoupled detail pipeline must produce byte-identical samples to
-// one multiplexing over the fused loop, at every stage-buffer size. The
-// composition contract is the engine's: deliver the batch to the model,
-// drain the pipeline (counters publish only at barriers), then advance
-// the mux so due rotations sample the drained counters.
-func TestStreamMuxPipelinedParity(t *testing.T) {
+// TestStreamMuxShardedParity: a StreamMux multiplexing HPM groups over
+// the core-sharded detail group must produce byte-identical samples to
+// one multiplexing over the fused loop, at every batch size and queue
+// depth. The composition contract is the engine's: deliver the batch to
+// the model, drain the group (counters publish only at barriers), then
+// advance the mux so due rotations sample the drained counters.
+func TestStreamMuxShardedParity(t *testing.T) {
 	layout, err := mem.NewLayout(mem.DefaultLayoutConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -103,13 +103,12 @@ func TestStreamMuxPipelinedParity(t *testing.T) {
 
 	type variant struct {
 		name string
-		cfg  *power4.PipelineConfig // nil = fused
+		cfg  *power4.ShardConfig // nil = fused
 	}
 	variants := []variant{
 		{"fused", nil},
-		{"pipelined cap=7 depth=2", &power4.PipelineConfig{BatchCap: 7, Depth: 2}},
-		{"pipelined cap=256 depth=4", &power4.PipelineConfig{BatchCap: 256, Depth: 4}},
-		{"pipelined inline", &power4.PipelineConfig{Inline: true}},
+		{"sharded cap=7 depth=2", &power4.ShardConfig{Shards: 1, BatchCap: 7, Depth: 2}},
+		{"sharded cap=256 depth=4", &power4.ShardConfig{Shards: 1, BatchCap: 256, Depth: 4}},
 	}
 	type result struct {
 		windows int
@@ -128,13 +127,13 @@ func TestStreamMuxPipelinedParity(t *testing.T) {
 		var sink isa.BatchSink = c
 		drain := func() {}
 		if v.cfg != nil {
-			pipe, err := power4.NewPipeline([]*power4.Core{c}, h, *v.cfg)
+			g, err := power4.NewShardGroup([]*power4.Core{c}, h, *v.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer pipe.Close()
-			sink = pipe.Sink(0)
-			drain = pipe.Drain
+			defer g.Close()
+			sink = g.Sink(0)
+			drain = g.Drain
 		}
 		mux, err := NewMultiplexer(coreSource{c}, StandardGroups(), 100)
 		if err != nil {

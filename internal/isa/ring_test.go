@@ -4,8 +4,8 @@ import "testing"
 
 func TestRingFIFO(t *testing.T) {
 	r := NewRing[int](3)
-	if r.Cap() != 3 {
-		t.Fatalf("cap = %d", r.Cap())
+	if cap(r.ch) != 3 {
+		t.Fatalf("cap = %d", cap(r.ch))
 	}
 	done := make(chan struct{})
 	go func() {
@@ -29,16 +29,16 @@ func TestRingFIFO(t *testing.T) {
 
 func TestRingMinDepth(t *testing.T) {
 	r := NewRing[string](0)
-	if r.Cap() != 1 {
-		t.Fatalf("depth 0 should clamp to 1, got %d", r.Cap())
+	if cap(r.ch) != 1 {
+		t.Fatalf("depth 0 should clamp to 1, got %d", cap(r.ch))
 	}
 }
 
 func TestPoolRecycles(t *testing.T) {
 	allocs := 0
 	p := NewPool(2, func() *int { allocs++; v := new(int); return v })
-	if p.Size() != 2 || allocs != 2 {
-		t.Fatalf("size=%d allocs=%d", p.Size(), allocs)
+	if cap(p.ch) != 2 || allocs != 2 {
+		t.Fatalf("size=%d allocs=%d", cap(p.ch), allocs)
 	}
 	a := p.Get()
 	b := p.Get()
@@ -58,10 +58,7 @@ func TestPoolRecycles(t *testing.T) {
 }
 
 func TestAnnotatedSyncAnn(t *testing.T) {
-	a := NewAnnotated[uint32](4)
-	if cap(a.Ins) != 4 || cap(a.Ann) != 4 {
-		t.Fatalf("caps %d/%d", cap(a.Ins), cap(a.Ann))
-	}
+	a := &Annotated[uint32]{Ins: make([]Instr, 0, 4), Ann: make([]uint32, 0, 4)}
 	a.Ins = append(a.Ins, Instr{}, Instr{}, Instr{})
 	a.SyncAnn()
 	if len(a.Ann) != 3 {
@@ -76,10 +73,7 @@ func TestAnnotatedSyncAnn(t *testing.T) {
 		t.Fatalf("SyncAnn after growth: %d vs %d", len(a.Ann), len(a.Ins))
 	}
 	a.Reset()
-	if a.Len() != 0 || len(a.Ann) != 0 {
+	if len(a.Ins) != 0 || len(a.Ann) != 0 {
 		t.Fatal("Reset did not empty the container")
-	}
-	if NewAnnotated[byte](0).Ins == nil || cap(NewAnnotated[byte](0).Ins) != DefaultBatchCap {
-		t.Fatal("default capacity should be DefaultBatchCap")
 	}
 }

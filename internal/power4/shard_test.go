@@ -8,6 +8,54 @@ import (
 	"jasworkload/internal/mem"
 )
 
+// freshSystem builds n cores over one shared hierarchy.
+func freshSystem(t *testing.T, n int) ([]*Core, *Hierarchy, *mem.Layout) {
+	t.Helper()
+	layout, err := mem.NewLayout(mem.DefaultLayoutConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewHierarchy(DefaultTopologyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cores := make([]*Core, n)
+	for i := range cores {
+		cores[i], err = NewCore(DefaultCoreConfig(i), h, layout.Space)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cores, h, layout
+}
+
+// interleave chops each core's trace into chunks and returns the global
+// feed order: core 0 chunk 0, core 1 chunk 0, ..., core 0 chunk 1, ...
+// This is the shape the engine produces — per-core runs interleaved at
+// request granularity over the shared hierarchy.
+func interleave(traces [][]isa.Instr, chunk int) (order []int, chunks [][]isa.Instr) {
+	pos := make([]int, len(traces))
+	for {
+		progressed := false
+		for c := range traces {
+			if pos[c] >= len(traces[c]) {
+				continue
+			}
+			end := pos[c] + chunk
+			if end > len(traces[c]) {
+				end = len(traces[c])
+			}
+			order = append(order, c)
+			chunks = append(chunks, traces[c][pos[c]:end])
+			pos[c] = end
+			progressed = true
+		}
+		if !progressed {
+			return order, chunks
+		}
+	}
+}
+
 // TestShardedEquivalence is the tentpole guarantee for the core-sharded
 // schedule: a multi-core stream over a shared hierarchy produces
 // bit-identical HPM counters whether it runs through the fused loop or

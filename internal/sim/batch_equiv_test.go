@@ -42,7 +42,8 @@ func recordDetailTrace(t *testing.T) []isa.Instr {
 // TestDetailStreamEquivalence is the end-to-end batching guarantee at
 // the sim layer: the same emitter-produced trace streamed through (a)
 // the pre-change reference path (per-instruction Consume, fast paths
-// off) and (b) the production batched path (ConsumeBatch, fast paths on)
+// off), (b) the production batched path (ConsumeBatch, fast paths on)
+// and (c) the core-sharded group at several batch sizes and queue depths
 // must leave identical HPM counters in the core.
 func TestDetailStreamEquivalence(t *testing.T) {
 	trace := recordDetailTrace(t)
@@ -65,20 +66,21 @@ func TestDetailStreamEquivalence(t *testing.T) {
 		return core.Counters()
 	}
 
-	// The pipelined path: the same trace fed through the decoupled
-	// three-stage pipeline, at several stage-buffer sizes (batch-boundary
-	// and ring-depth invariance is part of the guarantee).
-	runPipelined := func(batchCap, depth int) power4.Counters {
+	// The sharded path: the same trace fed through the core-sharded group
+	// at several batch sizes (batch-boundary and queue-depth invariance of
+	// the decoupled stages is part of the guarantee). One explicit shard
+	// keeps the group concurrent even on a 1-CPU host.
+	runSharded := func(batchCap, depth int) power4.Counters {
 		sut, err := BuildSUT(DefaultSUTConfig(30))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pipe, err := power4.NewPipeline(sut.Cores, sut.Hier, power4.PipelineConfig{BatchCap: batchCap, Depth: depth})
+		g, err := power4.NewShardGroup(sut.Cores, sut.Hier, power4.ShardConfig{Shards: 1, BatchCap: batchCap, Depth: depth})
 		if err != nil {
 			t.Fatal(err)
 		}
-		isa.Replay(trace, pipe.Sink(0), isa.DefaultBatchCap)
-		pipe.Close()
+		isa.Replay(trace, g.Sink(0), isa.DefaultBatchCap)
+		g.Close()
 		return sut.Cores[0].Counters()
 	}
 
@@ -92,11 +94,11 @@ func TestDetailStreamEquivalence(t *testing.T) {
 	for _, pc := range []struct{ cap, depth int }{
 		{1, 1}, {7, 2}, {256, 4}, {4096, 4},
 	} {
-		gotP := runPipelined(pc.cap, pc.depth)
+		gotS := runSharded(pc.cap, pc.depth)
 		for _, ev := range power4.AllEvents() {
-			if gotP.Get(ev) != want.Get(ev) {
-				t.Errorf("pipelined cap=%d depth=%d: %v = %d, reference = %d",
-					pc.cap, pc.depth, ev, gotP.Get(ev), want.Get(ev))
+			if gotS.Get(ev) != want.Get(ev) {
+				t.Errorf("sharded cap=%d depth=%d: %v = %d, reference = %d",
+					pc.cap, pc.depth, ev, gotS.Get(ev), want.Get(ev))
 			}
 		}
 	}

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"jasworkload/internal/power4"
 )
@@ -24,7 +27,6 @@ func TestEngineShardedEquivalence(t *testing.T) {
 		ecfg.DurationMS = 12_000
 		ecfg.RampMS = 2_000
 		ecfg.DetailFrac = 0.02
-		ecfg.Pipelined = false
 		ecfg.Sharded = sharded
 		e, err := NewEngine(ecfg, sut)
 		if err != nil {
@@ -107,4 +109,66 @@ func TestEngineShardedDeterminism(t *testing.T) {
 			t.Fatalf("GOMAXPROCS=%d: counters diverged from GOMAXPROCS=1", procs)
 		}
 	}
+}
+
+// TestEngineShardTeardown: an engine must leave no shard group attached
+// and no goroutines behind after RunContext, for both completed and
+// aborted runs. GOMAXPROCS=2 keeps the auto mode from collapsing to the
+// fused loop, so the group really starts workers, a merge and accountants
+// that the teardown has to stop.
+func TestEngineShardTeardown(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	settled := func(before int) bool {
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				return false
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		return true
+	}
+
+	t.Run("completed", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		sut := smallSUT(t, 8)
+		e := shortEngine(t, sut, 3_000, 1_000, 0.02)
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if e.shard != nil {
+			t.Fatal("shard group survived RunContext")
+		}
+		if !settled(before) {
+			t.Fatalf("goroutines: %d after run, %d before", runtime.NumGoroutine(), before)
+		}
+	})
+
+	t.Run("aborted", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		sut := smallSUT(t, 8)
+		e := shortEngine(t, sut, 10_000, 1_000, 0.02)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		windows := 0
+		mode := ""
+		e.SetWindowFunc(func(WindowStats) {
+			if windows++; windows == 2 {
+				mode = e.shard.Mode()
+				cancel()
+			}
+		})
+		if _, err := e.RunContext(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("RunContext = %v, want context.Canceled", err)
+		}
+		if mode != "sharded" {
+			t.Fatalf("group mode %q during the run, want sharded", mode)
+		}
+		if e.shard != nil {
+			t.Fatal("shard group survived an aborted RunContext")
+		}
+		if !settled(before) {
+			t.Fatalf("goroutines: %d after abort, %d before", runtime.NumGoroutine(), before)
+		}
+	})
 }

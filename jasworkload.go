@@ -136,16 +136,6 @@ func Parallelism() int { return core.Parallelism() }
 // Results are bit-identical at any setting; only wall clock changes.
 func SetParallelism(n int) int { return core.SetParallelism(n) }
 
-// Pipelined reports whether detail-mode simulation runs its decoupled
-// stage pipeline (the default) or the fused per-instruction loop.
-func Pipelined() bool { return core.Pipelined() }
-
-// SetPipelined selects between the decoupled detail pipeline and the
-// fused loop for subsequent runs, returning the previous setting. HPM
-// counters and reports are bit-identical either way; only execution
-// shape (and wall clock on hosts with spare CPUs) changes.
-func SetPipelined(enabled bool) bool { return core.SetPipelined(enabled) }
-
 // Sharded reports whether detail-mode simulation shards the instruction
 // stream across per-simulated-core goroutines with a deterministic
 // coherence merge (the default). The auto mode collapses to the fused
@@ -153,7 +143,7 @@ func SetPipelined(enabled bool) bool { return core.SetPipelined(enabled) }
 func Sharded() bool { return core.Sharded() }
 
 // SetSharded selects between the core-sharded detail schedule and the
-// pipelined/fused ones for subsequent runs, returning the previous
+// fused per-instruction loop for subsequent runs, returning the previous
 // setting. HPM counters and reports are bit-identical at any shard
 // count; only execution shape (and wall clock on multi-CPU hosts)
 // changes.
