@@ -1,14 +1,11 @@
 # Tier-1 is what the roadmap requires green: build + tests.
 # `make ci` is the tier-1+ gate: formatting, vet, build, the full test
 # suite under the race detector with shuffled test order (exercising the
-# parallel experiment scheduler and the jasd worker pool), the workload
-# pack calibration gate (quick-scale scalars + report vs testdata
-# goldens for all three packs), a one-shot benchmark smoke of the
-# Figure 2 pipeline, the jasd service smoke (real daemon on a
-# random port, golden-report diff, graceful drain), the sweep smoke
-# (12-cell grid through the real daemon costing exactly one
-# request-level simulation), and the loadgen smoke (ramp spec vs its
-# recorded trace: distinct jobs, byte-identical reports).
+# parallel experiment scheduler and the jasd worker pool, and running the
+# TestE2E real-daemon rows), the workload pack calibration gate
+# (quick-scale scalars + report vs testdata goldens for all three packs),
+# and a one-shot benchmark smoke of the Figure 2 pipeline. The *-smoke
+# targets run one TestE2E row each.
 
 GO ?= go
 
@@ -86,39 +83,25 @@ bench-json:
 	| $(GO) run ./cmd/benchjson -baseline $(BENCH_BASELINE) -out $(BENCH_OUT)
 	@cat $(BENCH_OUT)
 
-# End-to-end smoke of the serving layer: real jasd on a random port,
-# jasctl submit, golden-report diff, /metrics sanity, SIGTERM drain.
+# TestE2E rows (e2e_test.go): real jasd/jasctl/jasrun binaries. service:
+# golden-report diff, cancel, TTL eviction, SIGTERM drain. sweep: a 12-cell
+# grid costs one request-level simulation. loadgen: a ramp spec and its
+# recorded trace are distinct jobs with byte-identical reports. store:
+# kill -9 and restart re-serve with zero simulations, and two replicas
+# sharing one -store-dir cost one simulation total. shard: jasrun report
+# vs golden and the shard gauge/merge-stall series.
 service-smoke:
-	sh scripts/service_smoke.sh
-
-# End-to-end smoke of the sweep orchestration: a 12-cell page-size x
-# detail-frac grid through a real daemon must execute exactly one
-# request-level simulation (split-key reuse), verified from /metrics.
+	$(GO) test -count=1 -run '^TestE2E$$/^service$$' .
 sweep-smoke:
-	sh scripts/sweep_smoke.sh
-
-# End-to-end smoke of the load generator: jasrun records a ramp arrival
-# trace standalone, jasd serves steady + ramp-spec + trace-replay jobs
-# (three distinct job IDs), and the replay's markdown report must be
-# byte-identical to the generating run's.
+	$(GO) test -count=1 -run '^TestE2E$$/^sweep$$' .
 loadgen-smoke:
-	sh scripts/loadgen_smoke.sh
-
-# End-to-end smoke of the persistent artifact store: jasd with -store-dir
-# survives kill -9 and serves the resubmitted run byte-identically with
-# zero re-simulation; two replicas sharing one store cost one simulation
-# total; a -route router fronts both replicas.
+	$(GO) test -count=1 -run '^TestE2E$$/^loadgen$$' .
 store-smoke:
-	sh scripts/store_smoke.sh
-
-# End-to-end smoke of the core-sharded detail schedule: the quick-scale
-# report generated by jasrun -sharded and served by a real jasd -sharded
-# must both be byte-identical to the pinned golden, and /metrics must
-# surface the shard gauge and merge-stall counters.
+	$(GO) test -count=1 -run '^TestE2E$$/^store$$' .
 shard-smoke:
-	sh scripts/shard_smoke.sh
+	$(GO) test -count=1 -run '^TestE2E$$/^shard$$' .
 
-ci: fmt vet build race equiv calibrate bench-smoke service-smoke sweep-smoke loadgen-smoke store-smoke shard-smoke
+ci: fmt vet build race equiv calibrate bench-smoke
 
 # Regenerate the paper-vs-measured table (EXPERIMENTS.md format).
 report:

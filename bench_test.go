@@ -484,7 +484,7 @@ func BenchmarkDetailStreamShardedForced(b *testing.B) {
 
 // BenchmarkDetailStreamFusedMulti measures the fused loop over the same
 // interleaved multi-core feed the sharded benchmarks consume — the
-// SetSharded(false) reference for shard_speedup.
+// fused reference for shard_speedup.
 func BenchmarkDetailStreamFusedMulti(b *testing.B) {
 	trace := benchDetailTrace(b)
 	sut := benchStreamCore(b)

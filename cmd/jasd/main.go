@@ -14,7 +14,6 @@
 //	     [-drain 60s] [-parallel N] [-addrfile FILE]
 //	     [-job-timeout 0] [-done-ttl 15m] [-done-cap 256]
 //	     [-max-sweep-cells 64] [-store-dir DIR]
-//	jasd -route URL,URL,... [-addr :8077] [-addrfile FILE]
 //
 // With -addr ending in :0 the kernel picks a free port; the resolved
 // address is logged and, with -addrfile, written to FILE for scripts.
@@ -24,10 +23,6 @@
 // restarted daemon (or another replica sharing the directory) serves
 // byte-identical reports without re-simulating. Replicas racing the same
 // config dedupe through store-level leases — one simulation total.
-//
-// -route turns the process into a stateless consistent-hash router over
-// the listed replica base URLs: submissions and all follow-up requests
-// for a job land on the replica that owns its ID.
 //
 // Retention: finished (or failed/canceled) jobs stay resident — reports,
 // figures, and stream replay served — for -done-ttl, bounded to -done-cap
@@ -65,27 +60,19 @@ func main() {
 	retryAfter := flag.Duration("retry-after", 5*time.Second, "Retry-After hint on queue-full rejections")
 	drain := flag.Duration("drain", 60*time.Second, "graceful-shutdown deadline for in-flight runs")
 	parallel := flag.Int("parallel", 0, "max concurrent simulations per job (0 = one per CPU)")
-	sharded := flag.Bool("sharded", true, "shard detail streams across per-simulated-core goroutines (bit-identical; auto-collapses to the fused loop on 1-CPU hosts)")
 	addrfile := flag.String("addrfile", "", "write the resolved listen address to this file")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-run execution deadline (0 = none; timeout_s overrides per job)")
 	doneTTL := flag.Duration("done-ttl", 15*time.Minute, "how long terminal jobs stay resident before eviction")
 	doneCap := flag.Int("done-cap", 256, "max terminal jobs resident regardless of age")
 	maxSweepCells := flag.Int("max-sweep-cells", 64, "max grid cells a single sweep may expand to")
 	storeDir := flag.String("store-dir", "", "persistent artifact store directory (empty = in-memory only)")
-	route := flag.String("route", "", "comma-separated replica base URLs; run as a consistent-hash router instead of a daemon")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "jasd: ", log.LstdFlags)
 
-	if *route != "" {
-		runRouter(logger, *addr, *addrfile, *route)
-		return
-	}
-
 	if *parallel > 0 {
 		core.SetParallelism(*parallel)
 	}
-	core.SetSharded(*sharded)
 	if *storeDir != "" {
 		st, err := core.OpenStore(*storeDir)
 		if err != nil {

@@ -1,7 +1,9 @@
 package jasworkload
 
 import (
+	"fmt"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -27,13 +29,19 @@ func TestReportMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := rep.Markdown()
-	if got == string(want) {
-		return
+	if d := diffLines(rep.Markdown(), string(want)); d != "" {
+		t.Fatalf("report drifted from golden at %s", d)
 	}
+}
 
-	gotLines := splitLines(got)
-	wantLines := splitLines(string(want))
+// diffLines describes the first line where got and want differ, or
+// returns "" when they are equal.
+func diffLines(got, want string) string {
+	if got == want {
+		return ""
+	}
+	gotLines := strings.Split(got, "\n")
+	wantLines := strings.Split(want, "\n")
 	n := len(gotLines)
 	if len(wantLines) > n {
 		n = len(wantLines)
@@ -47,24 +55,8 @@ func TestReportMatchesGolden(t *testing.T) {
 			w = wantLines[i]
 		}
 		if g != w {
-			t.Fatalf("report drifted from golden at line %d:\n got: %q\nwant: %q", i+1, g, w)
+			return fmt.Sprintf("line %d:\n got: %q\nwant: %q", i+1, g, w)
 		}
 	}
-	t.Fatalf("report drifted from golden: got %d bytes, want %d", len(got), len(want))
-}
-
-func splitLines(s string) []string {
-	var out []string
-	for len(s) > 0 {
-		i := 0
-		for i < len(s) && s[i] != '\n' {
-			i++
-		}
-		out = append(out, s[:i])
-		if i < len(s) {
-			i++
-		}
-		s = s[i:]
-	}
-	return out
+	return fmt.Sprintf("the end: got %d bytes, want %d", len(got), len(want))
 }

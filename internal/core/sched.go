@@ -44,44 +44,16 @@ func SetParallelism(n int) int {
 // Deprecated: Sharded is the only detail schedule choice.
 func Pipelined() bool { return false }
 
-// sharded selects the core-sharded detail schedule: one goroutine per
-// simulated core with a deterministic coherence merge. It is a package
-// knob rather than a RunConfig field on purpose: the shard merge is
-// bit-identical to the fused loop, so it must not perturb canonical
-// artifact keys (jasd job IDs hash the RunConfig). It composes with
-// SetParallelism — that knob bounds simulations run concurrently, this
-// one decides how each simulation's detail stream executes internally.
-// The auto mode collapses to the fused loop on 1-CPU hosts, so leaving it
-// enabled is never a pessimization.
-var sharded = true
-
-// Sharded reports whether detail-mode runs use the core-sharded group.
-func Sharded() bool {
-	parMu.Lock()
-	defer parMu.Unlock()
-	return sharded
-}
-
-// SetSharded enables or disables the core-sharded detail schedule for
-// subsequent runs and returns the previous setting. Counters and reports
-// are bit-identical either way; false falls back to the fused loop for
-// reference measurements.
-func SetSharded(enabled bool) bool {
-	parMu.Lock()
-	defer parMu.Unlock()
-	prev := sharded
-	sharded = enabled
-	return prev
-}
+// Sharded always reports true: the core-sharded group is the only detail
+// schedule, and its auto mode collapses to the fused loop on 1-CPU hosts.
+//
+// Deprecated: there is no schedule choice left to report.
+func Sharded() bool { return true }
 
 // DetailShards reports the shard count a detail run started now would
-// use: 0 when sharding is disabled or the auto mode collapses to the
-// fused loop (no host parallelism), otherwise one worker per simulated
-// core up to GOMAXPROCS.
+// use: 0 when the auto mode collapses to the fused loop (no host
+// parallelism), otherwise one worker per simulated core up to GOMAXPROCS.
 func DetailShards() int {
-	if !Sharded() {
-		return 0
-	}
 	tc := power4.DefaultTopologyConfig()
 	return power4.AutoShards(tc.Chips * tc.CoresPerChip)
 }

@@ -130,8 +130,3 @@ func jobID(cfg core.RunConfig) string {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%#v", cfg.Canonical())))
 	return hex.EncodeToString(sum[:6])
 }
-
-// JobID exposes the job-identifier derivation for out-of-process peers —
-// the replica router hashes submissions with it so a config routes to the
-// same backend that owns its job ID.
-func JobID(cfg core.RunConfig) string { return jobID(cfg) }

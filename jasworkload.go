@@ -136,19 +136,6 @@ func Parallelism() int { return core.Parallelism() }
 // Results are bit-identical at any setting; only wall clock changes.
 func SetParallelism(n int) int { return core.SetParallelism(n) }
 
-// Sharded reports whether detail-mode simulation shards the instruction
-// stream across per-simulated-core goroutines with a deterministic
-// coherence merge (the default). The auto mode collapses to the fused
-// loop on single-CPU hosts, so the knob is never a pessimization.
-func Sharded() bool { return core.Sharded() }
-
-// SetSharded selects between the core-sharded detail schedule and the
-// fused per-instruction loop for subsequent runs, returning the previous
-// setting. HPM counters and reports are bit-identical at any shard
-// count; only execution shape (and wall clock on multi-CPU hosts)
-// changes.
-func SetSharded(enabled bool) bool { return core.SetSharded(enabled) }
-
 // Sweep declares a what-if grid: a base Config plus one Axis per swept
 // parameter. Expand yields the grid's cells (canonicalized and deduped);
 // running the cells through the artifact layer shares one request-level
