@@ -265,16 +265,7 @@ func cancel(addr string, args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("cancel needs a job id")
 	}
-	req, err := http.NewRequest(http.MethodDelete, addr+"/v1/runs/"+args[0], nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return dump(resp)
+	return del(addr + "/v1/runs/" + args[0])
 }
 
 // report fetches /v1/runs/{id}/report.
@@ -423,16 +414,7 @@ func sweepCmd(ctx context.Context, addr string, args []string) error {
 	case "stream":
 		return tailStream(ctx, addr, "/v1/sweeps/"+id+"/stream")
 	case "cancel":
-		req, err := http.NewRequest(http.MethodDelete, addr+"/v1/sweeps/"+id, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		return dump(resp)
+		return del(addr + "/v1/sweeps/" + id)
 	default:
 		return fmt.Errorf("unknown sweep subcommand %q", sub)
 	}
@@ -509,6 +491,20 @@ func doJSON(url string, _ []string) error { return raw(url) }
 // raw GETs url and copies the body to stdout.
 func raw(url string) error {
 	resp, err := http.Get(url)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	return dump(resp)
+}
+
+// del DELETEs url and copies the body to stdout.
+func del(url string) error {
+	req, err := http.NewRequest(http.MethodDelete, url, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -290,7 +291,7 @@ func (c *rlCell) get(ctx context.Context) (*RequestLevelRun, error) {
 			// The attempt failed. If it was aborted because earlier waiters
 			// (not us) walked away, retry rather than surfacing their
 			// cancellation; a genuine simulation error propagates.
-			if isContextErr(err) && ctx.Err() == nil {
+			if (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && ctx.Err() == nil {
 				continue
 			}
 			return nil, err
@@ -326,30 +327,6 @@ func (c *rlCell) execute(ctx context.Context) (*RequestLevelRun, error) {
 		func() (*RequestLevelRun, bool) { return st.loadRequestLevel(key, cfg) },
 		simulate,
 		func(run *RequestLevelRun) { st.saveRequestLevel(key, run) })
-}
-
-// isContextErr reports whether err stems from context cancellation or a
-// deadline (possibly wrapped).
-func isContextErr(err error) bool {
-	return err != nil && (err == context.Canceled || err == context.DeadlineExceeded ||
-		contextUnwrap(err))
-}
-
-func contextUnwrap(err error) bool {
-	type unwrapper interface{ Unwrap() error }
-	for {
-		u, ok := err.(unwrapper)
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-		if err == context.Canceled || err == context.DeadlineExceeded {
-			return true
-		}
-		if err == nil {
-			return false
-		}
-	}
 }
 
 // runStore maps canonical configs to their artifacts and request keys to

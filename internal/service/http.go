@@ -149,43 +149,51 @@ func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// job resolves {id}, or writes 410 for evicted jobs and 404 otherwise.
-func (s *Service) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
+// lookup resolves {id} in x, or writes 410 for an evicted ID and 404
+// otherwise; kind names the resource in the error body.
+func lookup[T comparable](s *Service, w http.ResponseWriter, r *http.Request, x *index[T], kind string) (T, bool) {
 	id := r.PathValue("id")
-	j, ok := s.Job(id)
-	if !ok {
-		if s.Evicted(id) {
-			writeError(w, http.StatusGone, fmt.Errorf("job %q evicted; resubmit to re-run", id))
-		} else {
-			writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", id))
-		}
+	v, err := resolve(s, x, id)
+	if err != nil {
+		writeMiss(w, kind, id, err, "; resubmit to re-run")
 	}
-	return j, ok
+	return v, err == nil
+}
+
+// writeMiss maps a resolve error to 410 Gone (with hint appended) or 404.
+func writeMiss(w http.ResponseWriter, kind, id string, err error, hint string) {
+	if errors.Is(err, ErrGone) {
+		writeError(w, http.StatusGone, fmt.Errorf("%s %q evicted%s", kind, id, hint))
+	} else {
+		writeError(w, http.StatusNotFound, fmt.Errorf("no %s %q", kind, id))
+	}
 }
 
 func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if j, ok := s.job(w, r); ok {
+	if j, ok := lookup(s, w, r, &s.jobs, "job"); ok {
 		writeJSON(w, http.StatusOK, j.Status(time.Now()))
 	}
 }
 
-// handleCancel implements DELETE /v1/runs/{id}: release one submission
-// reference, aborting the run if it was the last.
-func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
+// serveCancel implements DELETE on a run (release one submission
+// reference, aborting the run if it was the last) or a sweep (cancel it
+// outright), answering with the post-cancel status.
+func serveCancel[S any](w http.ResponseWriter, r *http.Request, kind string, cancel func(string) (S, error)) {
 	id := r.PathValue("id")
-	st, err := s.Cancel(id)
-	switch {
-	case errors.Is(err, ErrGone):
-		writeError(w, http.StatusGone, fmt.Errorf("job %q evicted", id))
-	case errors.Is(err, ErrUnknownJob):
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", id))
-	default:
-		writeJSON(w, http.StatusOK, st)
+	st, err := cancel(id)
+	if err != nil {
+		writeMiss(w, kind, id, err, "")
+		return
 	}
+	writeJSON(w, http.StatusOK, st)
+}
+
+func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
+	serveCancel(w, r, "job", s.Cancel)
 }
 
 func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(w, r)
+	j, ok := lookup(s, w, r, &s.jobs, "job")
 	if !ok {
 		return
 	}
@@ -224,16 +232,12 @@ func (s *Service) serveReport(w http.ResponseWriter, r *http.Request, j *Job, wa
 	w.Write(jsonBody)
 }
 
-// handleStream serves the live NDJSON window stream: replay of everything
-// emitted so far, then new windows as the simulations produce them, then
-// one terminal status line. ?from=N skips the first N events, so a client
-// that lost its connection resumes where it left off instead of replaying
-// the whole history.
-func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(w, r)
-	if !ok {
-		return
-	}
+// serveStream serves a run's or sweep's NDJSON stream (per-window events
+// or cell rows): replay of everything emitted so far, then new events as
+// they land, then one terminal status line. ?from=N skips the first N
+// events, so a client that lost its connection resumes where it left off
+// instead of replaying the whole history.
+func serveStream[E any](w http.ResponseWriter, r *http.Request, l *lifecycle[E]) {
 	from := 0
 	if v := r.URL.Query().Get("from"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -248,7 +252,7 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	for i := from; ; i++ {
-		ev, ok := j.hub.next(r.Context(), i)
+		ev, ok := l.hub.next(r.Context(), i)
 		if !ok {
 			break
 		}
@@ -262,16 +266,26 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	if r.Context().Err() != nil {
 		return
 	}
-	st := j.Status(time.Now())
-	enc.Encode(struct {
+	// The stream ends only once the owner retired, so the outcome is final.
+	fin := struct {
 		Done  bool   `json:"done"`
 		State State  `json:"state"`
 		Error string `json:"error,omitempty"`
-	}{true, st.State, st.Error})
+	}{Done: true, State: l.State()}
+	if err := l.Err(); err != nil {
+		fin.Error = err.Error()
+	}
+	enc.Encode(fin)
+}
+
+func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
+	if j, ok := lookup(s, w, r, &s.jobs, "job"); ok {
+		serveStream(w, r, &j.lifecycle)
+	}
 }
 
 func (s *Service) handleFigure(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(w, r)
+	j, ok := lookup(s, w, r, &s.jobs, "job")
 	if !ok {
 		return
 	}
@@ -405,85 +419,24 @@ func (s *Service) handleSweepList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// sweep resolves {id}, or writes 410 for evicted sweeps and 404 otherwise.
-func (s *Service) sweep(w http.ResponseWriter, r *http.Request) (*SweepJob, bool) {
-	id := r.PathValue("id")
-	sw, ok := s.Sweep(id)
-	if !ok {
-		if s.Evicted(id) {
-			writeError(w, http.StatusGone, fmt.Errorf("sweep %q evicted; resubmit to re-run", id))
-		} else {
-			writeError(w, http.StatusNotFound, fmt.Errorf("no sweep %q", id))
-		}
-	}
-	return sw, ok
-}
-
 func (s *Service) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
-	if sw, ok := s.sweep(w, r); ok {
+	if sw, ok := lookup(s, w, r, &s.sweeps, "sweep"); ok {
 		writeJSON(w, http.StatusOK, sw.Status(time.Now()))
 	}
 }
 
 func (s *Service) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	st, err := s.CancelSweep(id)
-	switch {
-	case errors.Is(err, ErrGone):
-		writeError(w, http.StatusGone, fmt.Errorf("sweep %q evicted", id))
-	case errors.Is(err, ErrUnknownJob):
-		writeError(w, http.StatusNotFound, fmt.Errorf("no sweep %q", id))
-	default:
-		writeJSON(w, http.StatusOK, st)
-	}
+	serveCancel(w, r, "sweep", s.CancelSweep)
 }
 
-// handleSweepStream serves one NDJSON row per finished cell — replay of
-// rows already landed, then new rows in completion order, then one
-// terminal status line. ?from=N resumes like the run stream.
 func (s *Service) handleSweepStream(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.sweep(w, r)
-	if !ok {
-		return
+	if sw, ok := lookup(s, w, r, &s.sweeps, "sweep"); ok {
+		serveStream(w, r, &sw.lifecycle)
 	}
-	from := 0
-	if v := r.URL.Query().Get("from"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad from %q", v))
-			return
-		}
-		from = n
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for i := from; ; i++ {
-		row, ok := sw.hub.next(r.Context(), i)
-		if !ok {
-			break
-		}
-		if enc.Encode(row) != nil {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	if r.Context().Err() != nil {
-		return
-	}
-	st := sw.Status(time.Now())
-	enc.Encode(struct {
-		Done  bool   `json:"done"`
-		State State  `json:"state"`
-		Error string `json:"error,omitempty"`
-	}{true, st.State, st.Error})
 }
 
 func (s *Service) handleSweepTable(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.sweep(w, r)
+	sw, ok := lookup(s, w, r, &s.sweeps, "sweep")
 	if !ok {
 		return
 	}

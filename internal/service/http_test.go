@@ -427,9 +427,9 @@ func TestE2ECancellationRace(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	// 600 simulated seconds: far more than the test will ever wait, so a
-	// cancellation that fails to abort shows up as the timeout below, not
-	// as a run that quietly finished first.
+	// 600 simulated seconds: long enough that the cancels land while the
+	// run is still executing. A cancellation that fails to abort shows up
+	// as a done state with a report, which the checks below reject.
 	const spec = `{"scale":"quick","seed":8,"duration_ms":600000,"ramp_ms":2000}`
 	var id string
 	for i := 0; i < 8; i++ {
@@ -497,8 +497,16 @@ func TestE2ECancellationRace(t *testing.T) {
 	if resp := del(); resp.StatusCode != http.StatusOK {
 		t.Fatalf("last cancel status = %s", resp.Status)
 	}
-	st := waitFor("cancellation", func(st JobStatus) bool { return st.State == StateCanceled })
-	if st.WindowsSoFar >= 600 {
+	// Assert the abort itself, not a window count: windows_streamed sums
+	// both fidelities, and on a busy host the request-level run alone can
+	// stream 600 windows before the last cancel lands. A completed
+	// pipeline retires done with a report; an aborted one retires canceled
+	// with the context error and no report bytes. The error comes from
+	// whichever report phase stopped first (a simulation aborted
+	// mid-window, or a phase waiting on one), so only its cause is pinned.
+	st := waitFor("cancellation", func(st JobStatus) bool { return terminal(st.State) })
+	if st.State != StateCanceled || !strings.HasSuffix(st.Error, context.Canceled.Error()) ||
+		st.ReportBytes != 0 || st.ReportMDBytes != 0 {
 		t.Fatalf("run completed instead of aborting: %+v", st)
 	}
 

@@ -2,28 +2,10 @@ package service
 
 import (
 	"context"
-	"errors"
-	"sync"
 	"time"
 
 	"jasworkload/internal/core"
 	"jasworkload/internal/loadgen"
-)
-
-// State is a job's lifecycle position.
-type State string
-
-// Job states. The lifecycle is queued → running → {done, failed,
-// canceled}; queued jobs that graceful shutdown could not start fail with
-// errDropped (the "dropped" disposition). Terminal jobs are eventually
-// evicted from the store by the done-ring (TTL or capacity), after which
-// their IDs answer 410 Gone.
-const (
-	StateQueued   State = "queued"
-	StateRunning  State = "running"
-	StateDone     State = "done"
-	StateFailed   State = "failed"
-	StateCanceled State = "canceled"
 )
 
 // Job is one deduplicated characterization run: every submission of an
@@ -33,24 +15,15 @@ const (
 // released before the run finishes, the job's context is cancelled and
 // the simulations abort mid-window.
 type Job struct {
-	ID  string
+	lifecycle[WindowEvent]
 	Cfg core.RunConfig
 	Art *core.Artifact
 
-	hub  *streamHub[WindowEvent]
-	done chan struct{} // closed on completion (done, failed, or canceled)
+	timeout time.Duration // run deadline once started (0 = none); fixed at submission
 
-	ctx     context.Context    // cancelled when the last client lets go
-	cancel  context.CancelFunc // idempotent (context package guarantees)
-	timeout time.Duration      // run deadline once started (0 = none)
-
-	mu         sync.Mutex
-	state      State
-	err        error
+	// Guarded by the lifecycle's mu.
 	clients    int // live references: submissions not yet released
-	submitted  time.Time
 	started    time.Time
-	finished   time.Time
 	reportJSON []byte // rendered once; served verbatim to every client
 	reportMD   []byte
 }
@@ -123,35 +96,6 @@ func scaleName(s core.Scale) string {
 	}
 }
 
-// State returns the current lifecycle state.
-func (j *Job) State() State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
-// terminal reports whether s is a terminal state.
-func terminal(s State) bool {
-	return s == StateDone || s == StateFailed || s == StateCanceled
-}
-
-// Err returns the failure cause, if any.
-func (j *Job) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
-// Wait blocks until the job reaches a terminal state or ctx is cancelled.
-func (j *Job) Wait(ctx context.Context) error {
-	select {
-	case <-j.done:
-		return j.Err()
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // Report returns the rendered report bodies; ok is false until the job is
 // done. Both renderings are produced exactly once, so every client reads
 // byte-identical content.
@@ -184,49 +128,8 @@ func (j *Job) markRunning(now time.Time) bool {
 // is configured. The deadline clock starts when the run starts, not at
 // submission — queue time does not eat the budget.
 func (j *Job) runContext() (context.Context, context.CancelFunc) {
-	j.mu.Lock()
-	d := j.timeout
-	j.mu.Unlock()
-	if d > 0 {
-		return context.WithTimeout(j.ctx, d)
+	if j.timeout > 0 {
+		return context.WithTimeout(j.ctx, j.timeout)
 	}
 	return context.WithCancel(j.ctx)
-}
-
-// isCancellation reports whether err means the run was aborted by
-// cancellation or a deadline rather than failing on its own.
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// finish transitions to a terminal state, publishes the rendered bodies,
-// closes the stream, and releases waiters. Idempotent: the first caller
-// wins and later calls report false — cancellation and the worker loop
-// may race to retire the same job.
-func (j *Job) finish(now time.Time, jsonBody, mdBody []byte, err error) bool {
-	j.mu.Lock()
-	if terminal(j.state) {
-		j.mu.Unlock()
-		return false
-	}
-	switch {
-	case err == nil:
-		j.state = StateDone
-		j.reportJSON = jsonBody
-		j.reportMD = mdBody
-	case isCancellation(err):
-		// Cancellation is an explicit terminal state, never a partial
-		// report: the rendered bodies stay nil.
-		j.state = StateCanceled
-		j.err = err
-	default:
-		j.state = StateFailed
-		j.err = err
-	}
-	j.finished = now
-	j.mu.Unlock()
-	j.cancel() // release the context's timer/goroutine resources
-	j.hub.close()
-	close(j.done)
-	return true
 }

@@ -17,8 +17,10 @@
 // mid-window. Terminal jobs enter a TTL+capacity-bounded done-ring; until
 // eviction their reports and stream history stay available, after which
 // the job is forgotten (410 Gone) and its artifact and event history are
-// freed. Cancellation never yields a partial report — the only outputs
-// are a complete, deterministic report or an explicit canceled state.
+// freed. Sweeps share the same lifecycle and retention code on a ring of
+// their own. Cancellation never yields a partial report — the only
+// outputs are a complete, deterministic report or an explicit canceled
+// state.
 package service
 
 import (
@@ -26,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -100,15 +103,6 @@ var (
 	errDropped = errors.New("service: dropped by shutdown before starting")
 )
 
-// doneEntry is one slot of the done-ring: a terminal job and when it
-// became terminal. Entries hold the job pointer, not the ID, because a
-// canceled config may be resubmitted under the same deterministic ID
-// while its predecessor still awaits eviction.
-type doneEntry struct {
-	j  *Job
-	at time.Time
-}
-
 // Service owns the job store, the wait queue, and the worker pool.
 type Service struct {
 	opts    Options
@@ -119,17 +113,12 @@ type Service struct {
 
 	mu       sync.Mutex
 	byKey    map[core.RunConfig]*Job // canonical config -> job (dedup)
-	byID     map[string]*Job
-	order    []*Job      // jobs in submission order (for listing)
-	doneRing []doneEntry // terminal jobs awaiting TTL/capacity eviction
-	tombs    map[string]bool
-	tombList []string // tombstone insertion order, for capping
+	jobs     index[*Job]
+	sweeps   index[*SweepJob]
+	sweepSeq uint64          // sweep ID sequence
+	tombs    map[string]bool // evicted job and sweep IDs
+	tombList []string        // tombstone insertion order, for capping
 	draining bool
-
-	sweeps     map[string]*SweepJob
-	sweepOrder []*SweepJob
-	sweepRing  []sweepDoneEntry // terminal sweeps awaiting eviction
-	sweepSeq   uint64           // sweep ID sequence
 
 	// runReport executes one job's pipeline and returns the rendered
 	// bodies. Tests stub it to exercise queueing without simulating.
@@ -147,9 +136,7 @@ func New(opts Options) *Service {
 		opts:    opts.withDefaults(),
 		metrics: NewMetrics(),
 		byKey:   map[core.RunConfig]*Job{},
-		byID:    map[string]*Job{},
 		tombs:   map[string]bool{},
-		sweeps:  map[string]*SweepJob{},
 	}
 	s.queue = make(chan *Job, s.opts.QueueDepth)
 	s.runReport = s.buildReport
@@ -185,7 +172,7 @@ func (s *Service) SubmitTimeout(cfg core.RunConfig, timeout time.Duration) (job 
 	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sweepLocked(now)
+	s.expireLocked(now)
 	if j, ok := s.byKey[key]; ok {
 		j.mu.Lock()
 		j.clients++
@@ -199,20 +186,8 @@ func (s *Service) SubmitTimeout(cfg core.RunConfig, timeout time.Duration) (job 
 	if timeout <= 0 {
 		timeout = s.opts.JobTimeout
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &Job{
-		ID:     jobID(key),
-		Cfg:    key,
-		Art:    core.ForConfig(key),
-		hub:    newStreamHub[WindowEvent](),
-		done:   make(chan struct{}),
-		ctx:    ctx,
-		cancel: cancel,
-	}
-	j.state = StateQueued
-	j.clients = 1
-	j.timeout = timeout
-	j.submitted = now
+	j := &Job{Cfg: key, Art: core.ForConfig(key), timeout: timeout, clients: 1}
+	j.init(jobID(key), StateQueued, now)
 	// Route the artifact's window stream to this job's hub and the GC
 	// histogram before the run can start, so subscribers and /metrics see
 	// every window.
@@ -223,23 +198,35 @@ func (s *Service) SubmitTimeout(cfg core.RunConfig, timeout time.Duration) (job 
 	select {
 	case s.queue <- j:
 	default:
-		cancel()
+		j.cancel()
 		s.metrics.incJobsRejected()
 		return nil, false, ErrQueueFull
 	}
 	s.byKey[key] = j
-	s.byID[j.ID] = j
-	s.order = append(s.order, j)
+	s.jobs.add(j.ID, j)
 	return j, false, nil
+}
+
+// resolve finds id among x's resident entries after an expiry tick. A
+// miss is ErrGone for an evicted ID and ErrUnknownJob otherwise.
+func resolve[T comparable](s *Service, x *index[T], id string) (T, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.expireLocked(time.Now())
+	if v, ok := x.byID[id]; ok {
+		return v, nil
+	}
+	var zero T
+	if s.tombs[id] {
+		return zero, ErrGone
+	}
+	return zero, ErrUnknownJob
 }
 
 // Job looks a job up by ID.
 func (s *Service) Job(id string) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sweepLocked(time.Now())
-	j, ok := s.byID[id]
-	return j, ok
+	j, err := resolve(s, &s.jobs, id)
+	return j, err == nil
 }
 
 // Evicted reports whether id names a job that existed but was evicted.
@@ -250,13 +237,15 @@ func (s *Service) Evicted(id string) bool {
 }
 
 // Jobs snapshots all resident jobs in submission order.
-func (s *Service) Jobs() []*Job {
+func (s *Service) Jobs() []*Job { return snapshot(s, &s.jobs) }
+
+// snapshot copies x's resident entries in submission order after an
+// expiry tick.
+func snapshot[T comparable](s *Service, x *index[T]) []T {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sweepLocked(time.Now())
-	out := make([]*Job, len(s.order))
-	copy(out, s.order)
-	return out
+	s.expireLocked(time.Now())
+	return slices.Clone(x.order)
 }
 
 // ResidentStats samples the retention gauges: how many jobs and sweeps
@@ -266,14 +255,14 @@ func (s *Service) Jobs() []*Job {
 func (s *Service) ResidentStats() (residentJobs, residentSweeps, hubBytes int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sweepLocked(time.Now())
-	for _, j := range s.order {
+	s.expireLocked(time.Now())
+	for _, j := range s.jobs.order {
 		hubBytes += j.hub.bytes()
 	}
-	for _, sw := range s.sweepOrder {
+	for _, sw := range s.sweeps.order {
 		hubBytes += sw.hub.bytes()
 	}
-	return len(s.order), len(s.sweepOrder), hubBytes
+	return len(s.jobs.order), len(s.sweeps.order), hubBytes
 }
 
 // Cancel releases one submission reference of job id. When the last
@@ -282,19 +271,11 @@ func (s *Service) ResidentStats() (residentJobs, residentSweeps, hubBytes int) {
 // and it retires in StateCanceled with no report. Finished jobs just
 // shed the reference. The post-release status is returned.
 func (s *Service) Cancel(id string) (JobStatus, error) {
-	now := time.Now()
-	s.mu.Lock()
-	s.sweepLocked(now)
-	j, ok := s.byID[id]
-	if !ok {
-		gone := s.tombs[id]
-		s.mu.Unlock()
-		if gone {
-			return JobStatus{}, ErrGone
-		}
-		return JobStatus{}, ErrUnknownJob
+	j, err := resolve(s, &s.jobs, id)
+	if err != nil {
+		return JobStatus{}, err
 	}
-	s.mu.Unlock()
+	now := time.Now()
 	s.release(j, now)
 	return j.Status(now), nil
 }
@@ -336,8 +317,7 @@ func (s *Service) release(j *Job, now time.Time) {
 	// still-queued job retires right here (the worker's guarded
 	// markRunning skips it).
 	j.cancel()
-	if st == StateQueued && j.finish(now, nil, nil, context.Canceled) {
-		s.metrics.incJobsCancelled()
+	if st == StateQueued && j.retire(now, context.Canceled, func(State) { s.metrics.incJobsCancelled() }) {
 		s.noteTerminal(j, now)
 	}
 }
@@ -357,55 +337,45 @@ func (s *Service) noteTerminal(j *Job, now time.Time) {
 		}
 		core.Drop(j.Art)
 	}
-	s.doneRing = append(s.doneRing, doneEntry{j: j, at: now})
-	s.sweepLocked(now)
+	s.jobs.retired(j.ID, j, now)
+	s.expireLocked(now)
 }
 
-// sweepLocked evicts done-ring entries (jobs and sweeps) that are over
-// capacity or past the TTL. Eviction is lazy — driven by submissions,
+// expireLocked evicts the jobs and sweeps their done-rings hold past the
+// TTL or over capacity. Eviction is lazy — driven by submissions,
 // lookups, and metrics scrapes — so there is no background timer
-// goroutine to leak.
-func (s *Service) sweepLocked(now time.Time) {
-	s.sweepRingLocked(now)
-	for len(s.doneRing) > 0 {
-		e := s.doneRing[0]
-		if len(s.doneRing) <= s.opts.DoneCap && now.Sub(e.at) < s.opts.DoneTTL {
-			break
+// goroutine to leak. An evicted job also leaves the dedup map (identity
+// checked: a resubmitted config reuses the ID while the old job waits)
+// and drops its run-store artifact; both kinds free their stream history
+// and leave a tombstone so clients get 410 rather than 404.
+func (s *Service) expireLocked(now time.Time) {
+	s.jobs.expire(now, s.opts, func(j *Job) {
+		if s.byKey[j.Cfg] == j {
+			delete(s.byKey, j.Cfg)
 		}
-		s.doneRing = s.doneRing[1:]
-		s.evictLocked(e.j)
-	}
+		j.hub.release()
+		core.Drop(j.Art)
+		s.tombLocked(j.ID)
+		s.metrics.incJobsEvicted()
+	})
+	s.sweeps.expire(now, s.opts, func(sw *SweepJob) {
+		sw.hub.release()
+		s.tombLocked(sw.ID)
+	})
 }
 
-// evictLocked forgets one terminal job: store maps, listing order, stream
-// history, and the run-store artifact all release their references, and
-// the ID leaves a tombstone so clients get 410 rather than 404. Identity
-// checks guard every map because a resubmitted config reuses the same
-// deterministic ID while the old job waits here.
-func (s *Service) evictLocked(j *Job) {
-	if s.byID[j.ID] == j {
-		delete(s.byID, j.ID)
+// tombLocked remembers an evicted ID for 410 responses, forgetting the
+// oldest beyond maxTombstones.
+func (s *Service) tombLocked(id string) {
+	if s.tombs[id] {
+		return
 	}
-	if s.byKey[j.Cfg] == j {
-		delete(s.byKey, j.Cfg)
+	s.tombs[id] = true
+	s.tombList = append(s.tombList, id)
+	if len(s.tombList) > maxTombstones {
+		delete(s.tombs, s.tombList[0])
+		s.tombList = s.tombList[1:]
 	}
-	for i, o := range s.order {
-		if o == j {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	j.hub.release()
-	core.Drop(j.Art)
-	if !s.tombs[j.ID] {
-		s.tombs[j.ID] = true
-		s.tombList = append(s.tombList, j.ID)
-		if len(s.tombList) > maxTombstones {
-			delete(s.tombs, s.tombList[0])
-			s.tombList = s.tombList[1:]
-		}
-	}
-	s.metrics.incJobsEvicted()
 }
 
 // worker drains the queue. During shutdown, jobs that were still waiting
@@ -418,8 +388,7 @@ func (s *Service) worker() {
 		draining := s.draining
 		s.mu.Unlock()
 		if draining {
-			if j.finish(time.Now(), nil, nil, errDropped) {
-				s.metrics.incJobsDropped()
+			if j.retire(time.Now(), errDropped, func(State) { s.metrics.incJobsDropped() }) {
 				s.noteTerminal(j, time.Now())
 			}
 			continue
@@ -432,15 +401,18 @@ func (s *Service) worker() {
 		jsonBody, mdBody, err := s.runReport(ctx, j)
 		cancel()
 		now := time.Now()
-		if j.finish(now, jsonBody, mdBody, err) {
-			switch {
-			case err == nil:
+		retired := j.retire(now, err, func(st State) {
+			switch st {
+			case StateDone:
+				j.reportJSON, j.reportMD = jsonBody, mdBody
 				s.metrics.incJobsDone()
-			case isCancellation(err):
+			case StateCanceled:
 				s.metrics.incJobsCancelled()
 			default:
 				s.metrics.incJobsFailed()
 			}
+		})
+		if retired {
 			s.noteTerminal(j, now)
 		}
 		s.metrics.addInFlight(-1)
@@ -515,22 +487,16 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	case <-done:
 		return nil
 	case <-ctx.Done():
+		// Cancelling an already-terminal entry is a no-op, and cancel
+		// only closes channels, so it is safe under s.mu.
 		s.mu.Lock()
-		resident := make([]*Job, len(s.order))
-		copy(resident, s.order)
-		sweeps := make([]*SweepJob, len(s.sweepOrder))
-		copy(sweeps, s.sweepOrder)
+		for _, sw := range s.sweeps.order {
+			sw.cancel()
+		}
+		for _, j := range s.jobs.order {
+			j.cancel()
+		}
 		s.mu.Unlock()
-		for _, sw := range sweeps {
-			if !terminal(sw.State()) {
-				sw.cancel()
-			}
-		}
-		for _, j := range resident {
-			if !terminal(j.State()) {
-				j.cancel()
-			}
-		}
 		return ctx.Err()
 	}
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -56,21 +55,10 @@ type SweepRow struct {
 // reference on every in-flight cell job (cells shared with other clients
 // keep running for them).
 type SweepJob struct {
-	ID    string
+	lifecycle[SweepRow]
 	Cells []core.Cell
 
-	hub  *streamHub[SweepRow]
-	done chan struct{}
-
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	mu        sync.Mutex
-	state     State
-	err       error
-	rows      []SweepRow
-	submitted time.Time
-	finished  time.Time
+	rows []SweepRow // guarded by the lifecycle's mu
 }
 
 // SweepStatus is the wire form of a sweep's state (GET /v1/sweeps/{id}).
@@ -82,12 +70,6 @@ type SweepStatus struct {
 	DistinctRequestKeys int     `json:"distinct_request_keys"`
 	RowsEmitted         int     `json:"rows_emitted"`
 	RunningSec          float64 `json:"running_sec,omitempty"`
-}
-
-// sweepDoneEntry is one slot of the sweep eviction ring.
-type sweepDoneEntry struct {
-	sw *SweepJob
-	at time.Time
 }
 
 // Status snapshots the sweep.
@@ -113,31 +95,6 @@ func (sw *SweepJob) Status(now time.Time) SweepStatus {
 	return st
 }
 
-// State returns the sweep's lifecycle state.
-func (sw *SweepJob) State() State {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.state
-}
-
-// Err returns the failure cause, if any.
-func (sw *SweepJob) Err() error {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.err
-}
-
-// Wait blocks until the sweep reaches a terminal state or ctx is
-// cancelled.
-func (sw *SweepJob) Wait(ctx context.Context) error {
-	select {
-	case <-sw.done:
-		return sw.Err()
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // Rows snapshots the rows emitted so far, in completion order.
 func (sw *SweepJob) Rows() []SweepRow {
 	sw.mu.Lock()
@@ -153,23 +110,6 @@ func (sw *SweepJob) emitRow(row SweepRow) {
 	sw.rows = append(sw.rows, row)
 	sw.mu.Unlock()
 	sw.hub.emit(row)
-}
-
-// finish retires the sweep. Idempotent; the first caller wins.
-func (sw *SweepJob) finish(now time.Time, state State, err error) bool {
-	sw.mu.Lock()
-	if terminal(sw.state) {
-		sw.mu.Unlock()
-		return false
-	}
-	sw.state = state
-	sw.err = err
-	sw.finished = now
-	sw.mu.Unlock()
-	sw.cancel()
-	sw.hub.close()
-	close(sw.done)
-	return true
 }
 
 // sweepID derives a sweep identifier: a per-process sequence number plus a
@@ -188,27 +128,15 @@ func (s *Service) SubmitSweep(base core.RunConfig, axes []core.Axis, timeout tim
 	if err != nil {
 		return nil, err
 	}
-	now := time.Now()
-	ctx, cancel := context.WithCancel(context.Background())
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		cancel()
 		return nil, ErrDraining
 	}
 	s.sweepSeq++
-	sw := &SweepJob{
-		ID:     sweepID(s.sweepSeq, cells),
-		Cells:  cells,
-		hub:    newStreamHub[SweepRow](),
-		done:   make(chan struct{}),
-		ctx:    ctx,
-		cancel: cancel,
-	}
-	sw.state = StateRunning
-	sw.submitted = now
-	s.sweeps[sw.ID] = sw
-	s.sweepOrder = append(s.sweepOrder, sw)
+	sw := &SweepJob{Cells: cells}
+	sw.init(sweepID(s.sweepSeq, cells), StateRunning, time.Now())
+	s.sweeps.add(sw.ID, sw)
 	s.metrics.addSweepCells(uint64(len(cells)))
 	s.mu.Unlock()
 	go s.runSweep(sw, timeout)
@@ -257,19 +185,16 @@ func (s *Service) runSweep(sw *SweepJob, timeout time.Duration) {
 		}(cell, j)
 	}
 	wg.Wait()
-	now := time.Now()
-	var retired bool
-	switch {
-	case sw.ctx.Err() != nil:
-		retired = sw.finish(now, StateCanceled, context.Canceled)
-	case submitErr != nil:
-		retired = sw.finish(now, StateFailed, submitErr)
-	default:
-		retired = sw.finish(now, StateDone, nil)
+	err := sw.ctx.Err()
+	if err == nil {
+		err = submitErr
 	}
-	if retired {
-		s.metrics.incSweeps(sw.State())
-		s.noteSweepTerminal(sw, now)
+	now := time.Now()
+	if sw.retire(now, err, s.metrics.incSweeps) {
+		s.mu.Lock()
+		s.sweeps.retired(sw.ID, sw, now)
+		s.expireLocked(now)
+		s.mu.Unlock()
 	}
 }
 
@@ -314,89 +239,24 @@ func (s *Service) sweepRow(cell core.Cell, j *Job) SweepRow {
 
 // Sweep looks a sweep up by ID.
 func (s *Service) Sweep(id string) (*SweepJob, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sweepLocked(time.Now())
-	sw, ok := s.sweeps[id]
-	return sw, ok
+	sw, err := resolve(s, &s.sweeps, id)
+	return sw, err == nil
 }
 
 // Sweeps snapshots all resident sweeps in submission order.
-func (s *Service) Sweeps() []*SweepJob {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sweepLocked(time.Now())
-	out := make([]*SweepJob, len(s.sweepOrder))
-	copy(out, s.sweepOrder)
-	return out
-}
+func (s *Service) Sweeps() []*SweepJob { return snapshot(s, &s.sweeps) }
 
 // CancelSweep aborts a sweep: undelivered cells are skipped, and the
 // sweep's reference on every in-flight cell job is released (the last
 // reference aborts the cell's run mid-window). Returns the post-cancel
 // status.
 func (s *Service) CancelSweep(id string) (SweepStatus, error) {
-	now := time.Now()
-	s.mu.Lock()
-	s.sweepLocked(now)
-	sw, ok := s.sweeps[id]
-	if !ok {
-		gone := s.tombs[id]
-		s.mu.Unlock()
-		if gone {
-			return SweepStatus{}, ErrGone
-		}
-		return SweepStatus{}, ErrUnknownJob
+	sw, err := resolve(s, &s.sweeps, id)
+	if err != nil {
+		return SweepStatus{}, err
 	}
-	s.mu.Unlock()
 	sw.cancel()
-	return sw.Status(now), nil
-}
-
-// noteSweepTerminal records a freshly-terminal sweep for TTL/capacity
-// eviction.
-func (s *Service) noteSweepTerminal(sw *SweepJob, now time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sweepRing = append(s.sweepRing, sweepDoneEntry{sw: sw, at: now})
-	s.sweepLocked(now)
-}
-
-// sweepRingLocked evicts terminal sweeps past the TTL or over capacity;
-// called from sweepLocked so sweep retention rides the same lazy ticks as
-// job retention.
-func (s *Service) sweepRingLocked(now time.Time) {
-	for len(s.sweepRing) > 0 {
-		e := s.sweepRing[0]
-		if len(s.sweepRing) <= s.opts.DoneCap && now.Sub(e.at) < s.opts.DoneTTL {
-			break
-		}
-		s.sweepRing = s.sweepRing[1:]
-		s.evictSweepLocked(e.sw)
-	}
-}
-
-// evictSweepLocked forgets one terminal sweep: store maps, listing order,
-// and row history all go, and the ID leaves a tombstone for 410s.
-func (s *Service) evictSweepLocked(sw *SweepJob) {
-	if s.sweeps[sw.ID] == sw {
-		delete(s.sweeps, sw.ID)
-	}
-	for i, o := range s.sweepOrder {
-		if o == sw {
-			s.sweepOrder = append(s.sweepOrder[:i], s.sweepOrder[i+1:]...)
-			break
-		}
-	}
-	sw.hub.release()
-	if !s.tombs[sw.ID] {
-		s.tombs[sw.ID] = true
-		s.tombList = append(s.tombList, sw.ID)
-		if len(s.tombList) > maxTombstones {
-			delete(s.tombs, s.tombList[0])
-			s.tombList = s.tombList[1:]
-		}
-	}
+	return sw.Status(time.Now()), nil
 }
 
 // Table renders the cross-cell comparison as a markdown table, rows in

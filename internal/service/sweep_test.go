@@ -290,3 +290,84 @@ func TestSweepEndToEndSharesRequestLevel(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepEvictionGone covers sweep retention over HTTP: once the
+// done-ring TTL passes, every endpoint of a finished sweep answers 410
+// Gone, while an ID that never existed answers 404.
+func TestSweepEvictionGone(t *testing.T) {
+	s := New(Options{Workers: 1, QueueDepth: 8, DoneTTL: time.Millisecond})
+	s.runReport = func(ctx context.Context, j *Job) ([]byte, []byte, error) {
+		return []byte("{}\n"), []byte("| md |\n"), nil
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	sw, err := s.SubmitSweep(testCfg(806), sweepAxes(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond)
+	do := func(method, path string) int {
+		t.Helper()
+		req, _ := http.NewRequest(method, srv.URL+path, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, path := range []string{"", "/stream", "/table"} {
+		if code := do(http.MethodGet, "/v1/sweeps/"+sw.ID+path); code != http.StatusGone {
+			t.Fatalf("GET %s of evicted sweep = %d, want 410", path, code)
+		}
+	}
+	if code := do(http.MethodDelete, "/v1/sweeps/"+sw.ID); code != http.StatusGone {
+		t.Fatalf("DELETE evicted sweep = %d, want 410", code)
+	}
+	for _, method := range []string{http.MethodGet, http.MethodDelete} {
+		if code := do(method, "/v1/sweeps/swnosuchsweep"); code != http.StatusNotFound {
+			t.Fatalf("%s unknown sweep = %d, want 404", method, code)
+		}
+	}
+}
+
+// TestSweepStreamResume: ?from=N skips the first N rows of a sweep's
+// stream, like the run stream, and a negative offset is a 400.
+func TestSweepStreamResume(t *testing.T) {
+	s := New(Options{Workers: 2, QueueDepth: 8})
+	s.runReport = func(ctx context.Context, j *Job) ([]byte, []byte, error) {
+		return []byte("{}\n"), []byte("| md |\n"), nil
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	sw, err := s.SubmitSweep(testCfg(807), sweepAxes(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rows := sw.Rows()
+	lines := streamLines(t, srv.URL+"/v1/sweeps/"+sw.ID+"/stream?from=3")
+	if len(lines) != 2 {
+		t.Fatalf("resumed sweep stream = %d lines, want row 3 + terminal:\n%s", len(lines), strings.Join(lines, "\n"))
+	}
+	var row SweepRow
+	if err := json.Unmarshal([]byte(lines[0]), &row); err != nil || row.Cell != rows[3].Cell {
+		t.Fatalf("resumed stream started at cell %d, want cell %d (err %v)", row.Cell, rows[3].Cell, err)
+	}
+
+	resp, err := http.Get(srv.URL + "/v1/sweeps/" + sw.ID + "/stream?from=-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("negative from = %s, want 400", resp.Status)
+	}
+}
